@@ -144,13 +144,11 @@ Result<StepSchedule> BuildStepSchedule(const Schema& schema,
 // per-morsel meters sum exactly to a sequential run's meter. Output
 // row order is lexicographic in (candidate position, partner position
 // per step), so concatenating per-morsel outputs in morsel order
-// reproduces the sequential order. `prov` (optional) receives the
-// driving row of every appended output row, in output order.
+// reproduces the sequential order.
 void RunPipeline(const ObjectStore& store, const Plan& plan,
                  const StepSchedule& sched,
                  const std::vector<int64_t>* candidates, int64_t begin,
-                 int64_t end, ResultSet* out, ExecutionMeter* meter,
-                 std::vector<int64_t>* prov = nullptr) {
+                 int64_t end, ResultSet* out, ExecutionMeter* meter) {
   const Schema& schema = store.schema();
   size_t num_classes = schema.num_classes();
 
@@ -246,7 +244,6 @@ void RunPipeline(const ObjectStore& store, const Plan& plan,
                                        .Get(offset));
       }
       out->rows.push_back(std::move(result_row));
-      if (prov != nullptr) prov->push_back(row);
     }
     return;
   }
@@ -303,7 +300,6 @@ void RunPipeline(const ObjectStore& store, const Plan& plan,
                         .ValueAt(binding[ref.class_id], ref.attr_id));
     }
     out->rows.push_back(std::move(row));
-    if (prov != nullptr) prov->push_back(binding[drive.class_id]);
   }
 }
 
@@ -321,8 +317,6 @@ struct MorselRun {
   std::atomic<int64_t> next{0};  // morsel claim cursor
   std::vector<ResultSet> results;       // per-morsel, slot-owned
   std::vector<ExecutionMeter> meters;   // per-morsel, slot-owned
-  bool want_provenance = false;
-  std::vector<std::vector<int64_t>> provenance;  // per-morsel, slot-owned
 
   std::atomic<size_t> completed{0};
   // Distinct threads that ran >= 1 morsel; each bumps it once, before
@@ -354,8 +348,7 @@ void WorkMorsels(const std::shared_ptr<MorselRun>& run) {
     const auto start = std::chrono::steady_clock::now();
     RunPipeline(*run->store, *run->plan, *run->sched, run->candidates,
                 morsel.begin, morsel.end, &run->results[slot],
-                &run->meters[slot],
-                run->want_provenance ? &run->provenance[slot] : nullptr);
+                &run->meters[slot]);
     run->meters[slot].parallel_busy_micros = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - start)
@@ -412,9 +405,7 @@ Result<ResultSet> ExecutePlan(const ObjectStore& store, const Plan& plan,
     // Canonical candidate order: ascending row id. Full scans already
     // visit rows in ascending slot order; sorting index results makes
     // EVERY plan's output order a function of driving-row order alone,
-    // which is what lets (a) morsel merge stay concatenation and (b)
-    // the sharded engine reproduce single-engine output order by
-    // k-way-merging per-shard results on global driving row.
+    // which is what lets morsel merge stay concatenation.
     std::sort(index_candidates.begin(), index_candidates.end());
     ++meter->index_probes;
     candidates = &index_candidates;
@@ -445,8 +436,7 @@ Result<ResultSet> ExecutePlan(const ObjectStore& store, const Plan& plan,
 
   if (workers <= 1 || morsels.size() <= 1) {
     // Sequential: one pipeline pass over the whole candidate list.
-    RunPipeline(store, plan, sched, candidates, 0, count, &result, meter,
-                context.driving_rows);
+    RunPipeline(store, plan, sched, candidates, 0, count, &result, meter);
     meter->rows_out += result.rows.size();
     return result;
   }
@@ -461,8 +451,6 @@ Result<ResultSet> ExecutePlan(const ObjectStore& store, const Plan& plan,
   run->morsels = std::move(morsels);
   run->results.resize(run->morsels.size());
   run->meters.resize(run->morsels.size());
-  run->want_provenance = context.driving_rows != nullptr;
-  if (run->want_provenance) run->provenance.resize(run->morsels.size());
 
   const auto wall_start = std::chrono::steady_clock::now();
   for (int w = 1; w < workers; ++w) {
@@ -488,14 +476,6 @@ Result<ResultSet> ExecutePlan(const ObjectStore& store, const Plan& plan,
   result.rows.reserve(total_rows);
   for (ResultSet& part : run->results) {
     for (auto& row : part.rows) result.rows.push_back(std::move(row));
-  }
-  if (context.driving_rows != nullptr) {
-    context.driving_rows->reserve(context.driving_rows->size() +
-                                  total_rows);
-    for (const std::vector<int64_t>& part : run->provenance) {
-      context.driving_rows->insert(context.driving_rows->end(),
-                                   part.begin(), part.end());
-    }
   }
   for (const ExecutionMeter& part : run->meters) {
     meter->instances_scanned += part.instances_scanned;

@@ -69,14 +69,6 @@ struct ResultSet {
 // (or undersized) pool degrades throughput, never deadlocks.
 struct ExecContext {
   WorkerPool* pool = nullptr;
-
-  // Optional provenance channel: when non-null, receives one entry per
-  // output row — the DRIVING-step row that produced it, in result-row
-  // order. Rows produced by multi-partner expansion share their driving
-  // row, so the vector is non-decreasing per morsel. The scatter-gather
-  // sharded engine uses this to k-way-merge per-shard partial results
-  // back into single-engine global order (see DESIGN.md "Sharding").
-  std::vector<int64_t>* driving_rows = nullptr;
 };
 
 Result<ResultSet> ExecutePlan(const ObjectStore& store, const Plan& plan,

@@ -69,6 +69,9 @@ std::string PrintQueryPretty(const Schema& schema, const Query& query) {
 std::string CanonicalQueryKey(const Schema& schema, const Query& query) {
   Query normalized = query;
   normalized.Normalize();
+  // The projection order is the result's column order, so it is part
+  // of the statement's meaning: keep the caller's order in the key.
+  normalized.projection = query.projection;
   return PrintQuery(schema, normalized);
 }
 

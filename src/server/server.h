@@ -116,13 +116,12 @@ struct ServerStats {
 class Server {
  public:
   // Binds, listens, and spawns the I/O thread + workers. `engine` is
-  // any EngineInterface backend — a single Engine, a ShardedEngine
-  // fleet, or a RemoteShard — that must have data loaded and must
-  // outlive the server. The read path stays const; kApply/kCheckpoint
-  // drive the interface's write surface. A non-null `replication`
-  // makes this server a replication leader (it must outlive the
-  // server; the server installs itself as the log's notifier and
-  // detaches on shutdown).
+  // any EngineInterface backend — an Engine or a RemoteShard — that
+  // must have data loaded and must outlive the server. The read path
+  // stays const; kApply/kCheckpoint drive the interface's write
+  // surface. A non-null `replication` makes this server a replication
+  // leader (it must outlive the server; the server installs itself as
+  // the log's notifier and detaches on shutdown).
   static Result<std::unique_ptr<Server>> Start(
       EngineInterface* engine, ServerOptions options,
       replica::ReplicationLog* replication = nullptr);

@@ -139,18 +139,6 @@ const Value& Extent::ValueRef(int64_t row, AttrId attr_id,
       .GetRef(static_cast<size_t>(row & kSegmentMask), scratch);
 }
 
-Object Extent::MaterializeRow(int64_t row) const {
-  CheckRow(row);
-  const Segment& seg = *segments_[static_cast<size_t>(row >> kSegmentShift)];
-  const size_t offset = static_cast<size_t>(row & kSegmentMask);
-  Object obj;
-  obj.values.reserve(seg.cols.size());
-  for (const ColumnChunk& col : seg.cols) {
-    obj.values.push_back(col.Get(offset));
-  }
-  return obj;
-}
-
 Status Extent::SetValue(int64_t row, AttrId attr_id, Value value) {
   if (row < 0 || row >= size_) {
     return Status::OutOfRange("row " + std::to_string(row) +

@@ -79,10 +79,6 @@ class Extent {
   // any mutation of this extent.
   const Value& ValueRef(int64_t row, AttrId attr_id, Value* scratch) const;
 
-  // Materializes one full row in layout order (the Insert/result
-  // boundary; scans use Batch()). Same bounds behavior as ValueAt.
-  Object MaterializeRow(int64_t row) const;
-
   // Overwrites one attribute value. Returns kNotFound when the
   // attribute does not belong to this class, kOutOfRange for bad rows.
   // Index maintenance is the ObjectStore's job (UpdateAttribute).

@@ -136,6 +136,54 @@ TEST(PlanCacheEngineTest, CanonicalKeyCoalescesTextualVariants) {
   EXPECT_EQ(engine.plan_cache_stats().entries, 1u);
 }
 
+// Renders rows as "v1 | v2" lines so a column-order mismatch reads
+// plainly in a failure message.
+std::vector<std::string> RenderRows(const ResultSet& rows) {
+  std::vector<std::string> out;
+  for (const std::vector<Value>& row : rows.rows) {
+    std::string line;
+    for (const Value& v : row) {
+      if (!line.empty()) line += " | ";
+      line += v.ToString();
+    }
+    out.push_back(std::move(line));
+  }
+  return out;
+}
+
+// A projection is the result's column order: two texts that list the
+// same attributes in different orders must not share a cache entry,
+// through either Execute or Prepare, or the second would replay the
+// first text's columns.
+TEST(PlanCacheEngineTest, ProjectionOrderIsPartOfTheKey) {
+  const std::vector<std::string> texts = {
+      "{cargo.code, cargo.desc} {} {} {} {cargo}",
+      "{cargo.desc, cargo.code} {} {} {} {cargo}",
+  };
+  std::vector<std::vector<std::string>> fresh;
+  for (const std::string& text : texts) {
+    Engine engine = OpenLoadedEngine();
+    ASSERT_OK_AND_ASSIGN(QueryOutcome out, engine.Execute(text));
+    ASSERT_FALSE(out.rows.rows.empty());
+    fresh.push_back(RenderRows(out.rows));
+  }
+  ASSERT_NE(fresh[0][0], fresh[1][0]);
+
+  Engine executed = OpenLoadedEngine();
+  Engine prepared = OpenLoadedEngine();
+  for (size_t i = 0; i < texts.size(); ++i) {
+    SCOPED_TRACE(texts[i]);
+    ASSERT_OK_AND_ASSIGN(QueryOutcome out, executed.Execute(texts[i]));
+    EXPECT_EQ(RenderRows(out.rows), fresh[i]);
+    ASSERT_OK_AND_ASSIGN(PreparedQuery statement,
+                         prepared.Prepare(texts[i]));
+    ASSERT_OK_AND_ASSIGN(QueryOutcome replayed, statement.Execute());
+    EXPECT_EQ(RenderRows(replayed.rows), fresh[i]);
+  }
+  EXPECT_EQ(executed.plan_cache_stats().entries, 2u);
+  EXPECT_EQ(prepared.plan_cache_stats().entries, 2u);
+}
+
 TEST(PlanCacheEngineTest, PrepareAndExecuteShareEntries) {
   Engine engine = OpenLoadedEngine();
   // Execute seeds the cache; Prepare hits it (no second miss) ...

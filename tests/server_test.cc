@@ -20,7 +20,6 @@
 #include "server/client.h"
 #include "server/load_runner.h"
 #include "server/wire.h"
-#include "shard/sharded_engine.h"
 #include "tests/test_util.h"
 #include "workload/dbgen.h"
 #include "workload/query_pool.h"
@@ -186,73 +185,6 @@ TEST(ServerTest, StatsEndpointServesMetricsText) {
   EXPECT_NE(text.find("server_queries_ok 1"), std::string::npos);
   EXPECT_NE(text.find("engine_queries_executed "), std::string::npos);
   EXPECT_NE(text.find("plan_cache_"), std::string::npos);
-}
-
-TEST(ServerTest, StatsOverShardedBackendReportFleetTotals) {
-  // The server takes any EngineInterface; behind a ShardedEngine the
-  // STATS endpoint must serve FLEET totals (per-shard counters summed,
-  // coordinator events counted once), not one shard's view.
-  shard::ShardOptions shard_options;
-  shard_options.shards = 4;
-  auto opened =
-      shard::ShardedEngine::Open(SchemaSource::Experiment(),
-                                 ConstraintSource::Experiment(),
-                                 shard_options);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  shard::ShardedEngine fleet = std::move(*opened);
-  ASSERT_OK(fleet.Load(DataSource::Generated(kSpec, kSeed)));
-  const Schema& schema = fleet.schema();
-  const ClassId supplier = schema.FindClass("supplier");
-  // Fixture rows round-robin segments, so rows 0 and 3 live on
-  // different shards at 4 shards — the batch below really fans out.
-  ASSERT_NE(fleet.ShardOfRow(supplier, 0), fleet.ShardOfRow(supplier, 3));
-
-  // One committed batch whose two inserts land on two shards: each
-  // shard applies one op, so only the summed view reports 2.
-  MutationBatch batch;
-  ASSERT_OK_AND_ASSIGN(
-      Object fresh0, MakeSegmentObject(schema, supplier, /*segment=*/0,
-                                       /*ordinal=*/9000));
-  ASSERT_OK_AND_ASSIGN(
-      Object fresh3, MakeSegmentObject(schema, supplier, /*segment=*/3,
-                                       /*ordinal=*/9001));
-  batch.Insert(supplier, std::move(fresh0));
-  batch.Insert(supplier, std::move(fresh3));
-  ASSERT_OK(fleet.Apply(batch).status());
-
-  std::unique_ptr<Server> server = StartServer(&fleet);
-  ASSERT_OK_AND_ASSIGN(Client client,
-                       Client::Connect("127.0.0.1", server->port()));
-  ASSERT_OK_AND_ASSIGN(Response queried, client.Query(kSingleClassQuery));
-  ASSERT_TRUE(queried.ok()) << queried.message;
-  ASSERT_OK_AND_ASSIGN(Response refuted, client.Query(kContradictionQuery));
-  ASSERT_TRUE(refuted.ok()) << refuted.message;
-  EXPECT_TRUE(refuted.answered_without_database);
-
-  const EngineStats totals = fleet.stats();
-  EXPECT_EQ(totals.mutation_batches_applied, 1u);
-  EXPECT_EQ(totals.mutation_ops_applied, 2u);
-  EXPECT_GE(totals.contradictions, 1u);
-
-  ASSERT_OK_AND_ASSIGN(std::string text, client.Stats());
-  auto line = [](const char* name, uint64_t value) {
-    return std::string(name) + " " + std::to_string(value);
-  };
-  EXPECT_NE(text.find("server_queries_ok 2"), std::string::npos) << text;
-  EXPECT_NE(text.find(line("engine_queries_executed",
-                           totals.queries_executed)),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find(line("engine_contradictions", totals.contradictions)),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("engine_mutation_batches_applied 1"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("engine_mutation_ops_applied 2"), std::string::npos)
-      << text;
-  // Plan-cache lines come from the planning head's shared cache.
-  EXPECT_NE(text.find("plan_cache_"), std::string::npos) << text;
 }
 
 TEST(ServerTest, BadCrcGetsTypedErrorAndConnectionSurvives) {

@@ -274,7 +274,6 @@ TEST_F(StorageTest, RowAccessorsAbortOnOutOfRangeRow) {
   // reading a neighbor's memory.
   EXPECT_DEATH(extent.ValueAt(1, qty.attr_id), "row 1 out of range");
   EXPECT_DEATH(extent.ValueAt(-1, qty.attr_id), "row -1 out of range");
-  EXPECT_DEATH(extent.MaterializeRow(7), "row 7 out of range");
 }
 
 TEST(ExtentInheritanceTest, SubclassLayoutIncludesInheritedSlots) {
